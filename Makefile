@@ -165,13 +165,14 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParsePattern -fuzztime=3s ./internal/netem
 	$(GO) test -run='^$$' -fuzz=FuzzParseSpec -fuzztime=3s ./internal/faults
 
-# queue-smoke runs the calendar-vs-heap differential suite: the
-# randomized mixed-op oracle test in internal/sim plus the macro-stream
-# and faulted-parking-lot differentials at the public surface. Any
-# divergence between the default calendar queue and the heap fallback
-# fails here with the first diverging event named.
+# queue-smoke runs the event-stream suite: the randomized mixed-op
+# differential of the engine's calendar queue against the reference heap
+# in internal/sim, plus the pinned-stream tests at the public surface —
+# every row of the layer table on the seed-1 macro run, and the faulted
+# parking lot. Any divergence fails here with the first diverging event
+# named.
 queue-smoke:
-	$(GO) test -count=1 -run 'TestCalendarVsHeap' ./internal/sim .
+	$(GO) test -count=1 -run 'TestCalendarVsHeap|TestPinned' ./internal/sim .
 
 # bench-json measures the simulator core (engine, link, per-flow, and
 # the two-flow macro-benchmark), records the trajectory against the

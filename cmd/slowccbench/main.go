@@ -8,30 +8,16 @@
 // minimum speedup and allocation drop on the macro-benchmark — are not
 // met, so `make bench-json` doubles as a performance regression check.
 //
-// It also enforces the observability-overhead gate: the macro-benchmark
-// with the obs layer wired but disabled (EnginePacketsPerSecondObsOff)
-// may be at most 2% slower than the plain variant measured in the same
-// invocation (a paired comparison, so machine drift between commits
-// cannot fake a pass or a fail) and may not allocate a single op more
-// than the PR 2 allocation-free record, with identical event counts
-// throughout. The fault-injection (EnginePacketsPerSecondFaultsOff),
-// topology (EnginePacketsPerSecondTopoOff — an idle parking-lot chain
-// on the same engine), journey (EnginePacketsPerSecondJourneyOff —
-// journey hooks wired but disabled via ObserveJourneys(nil)), and
-// export (EnginePacketsPerSecondExportOff — a counter registry observed
-// over the topology with the engine's stream-digest slot explicitly
-// nil, the state slowccsim -serve scrapes), and result-store
-// (EnginePacketsPerSecondStoreOff — an open store registered as the
-// sweep replay source while no cell commits, the configuration every
-// slowccsim -store run executes) variants are held to the same paired
-// gate.
-//
-// The calendar-queue fallback gate pairs the same scenario on the heap
-// queue (EnginePacketsPerSecondCalendarOff): the knob must still
-// produce the identical event count, allocate at most a handful more
-// ops than the calendar default, and trail it by a bounded factor — so
-// a regression that quietly pushes work onto the fallback path is
-// caught, and so is a fallback that rots.
+// It also enforces the layer-overhead gate. The macro-benchmark runs one
+// sub-benchmark per row of the root package's layer table: plain, then
+// each layer wired but off (EnginePacketsPerSecond/obs-off,
+// /faults-off, ...). Every other row may be at most 2% slower than
+// plain measured in the same invocation (a paired comparison, so machine
+// drift between commits cannot fake a pass or a fail), may not allocate
+// a single op more than the PR 2 allocation-free record, must execute
+// the identical event count, and must appear in every one of the -count
+// runs. The gate loops over whatever rows the run reports, so a new
+// layer is gated by adding its row to the table.
 //
 // Because the record names the commit it measured, slowccbench refuses
 // to run from a dirty worktree: a measurement of uncommitted code
@@ -73,7 +59,7 @@ var baseline = record{
 	Note: "pre-optimization: container/heap queue, per-event closures, heap-allocated packets; " +
 		"min of 3 runs at -benchtime=1x, seed 1",
 	Benchmarks: map[string]map[string]float64{
-		"EnginePacketsPerSecond": {
+		macro: {
 			"ns/op":     181267997,
 			"events":    403989,
 			"B/op":      39237504,
@@ -83,19 +69,20 @@ var baseline = record{
 }
 
 // pr2 is the allocation-free-core measurement recorded when the
-// optimization PR landed (commit e3ff66b), the reference the
-// observability gate's allocation check compares against: wiring the
-// obs layer (disabled) must not add a single alloc/op to the
-// macro-benchmark. Its ns/op is machine- and load-dependent, so the
-// obs *time* gate deliberately does not use it — the ≤2% check
-// compares EnginePacketsPerSecondObsOff against EnginePacketsPerSecond
-// measured in the same slowccbench invocation instead.
+// optimization PR landed (commit e3ff66b), the reference the layer
+// gate's allocation check compares against: wiring a layer (disabled)
+// must not add a single alloc/op to the macro-benchmark. Its ns/op is
+// machine- and load-dependent, so the layer *time* gate deliberately
+// does not use it — the ≤2% check compares each layer row against the
+// plain row measured in the same slowccbench invocation instead. Both
+// records predate the macro-benchmark's rows; their single
+// measurement is what the plain row measures.
 var pr2 = record{
 	Commit: "e3ff66b",
 	Note: "allocation-free core: pooled timers/packets, pre-bound callbacks; " +
 		"min of 3 runs at -benchtime=1x, seed 1",
 	Benchmarks: map[string]map[string]float64{
-		"EnginePacketsPerSecond": {
+		macro: {
 			"ns/op":     38832407,
 			"events":    403989,
 			"B/op":      76176,
@@ -135,31 +122,17 @@ type report struct {
 	Unstable   []string          `json:"unstable,omitempty"`
 	Gates      gates             `json:"gates"`
 	Trajectory outcome           `json:"trajectory"`
-	Obs        obsOutcome        `json:"obs_overhead"`
-	Faults     obsOutcome        `json:"faults_overhead"`
-	Topo       obsOutcome        `json:"topology_overhead"`
-	Journey    obsOutcome        `json:"journey_overhead"`
-	Export     obsOutcome        `json:"export_overhead"`
-	Store      obsOutcome        `json:"store_overhead"`
-	Calendar   obsOutcome        `json:"calendar_fallback"`
+	Layers     []layerOutcome    `json:"layer_overhead"`
 }
 
 type gates struct {
 	MinSpeedup    float64 `json:"min_speedup"`
 	MinAllocsDrop float64 `json:"min_allocs_drop"`
-	// MaxObsSlowdown caps the obs-disabled macro-benchmark time against
-	// the plain variant measured in the same run (1.02 = 2%).
-	MaxObsSlowdown float64 `json:"max_obs_slowdown"`
-	// MaxObsExtraAllocs caps allocs/op added over the PR 2 record (0).
-	MaxObsExtraAllocs float64 `json:"max_obs_extra_allocs"`
-	// MaxFallbackSlowdown caps how far the heap-queue fallback
-	// (EnginePacketsPerSecondCalendarOff) may trail the calendar default
-	// in the same invocation. The fallback is expected to be slower —
-	// that is why it is the fallback — but it must stay a working knob.
-	MaxFallbackSlowdown float64 `json:"max_fallback_slowdown"`
-	// MaxFallbackExtraAllocs caps allocs/op the fallback may add over
-	// the PR 2 record.
-	MaxFallbackExtraAllocs float64 `json:"max_fallback_extra_allocs"`
+	// MaxLayerSlowdown caps a layer row's time against the plain row
+	// measured in the same run (1.02 = 2%).
+	MaxLayerSlowdown float64 `json:"max_layer_slowdown"`
+	// MaxLayerExtraAllocs caps allocs/op added over the PR 2 record (0).
+	MaxLayerExtraAllocs float64 `json:"max_layer_extra_allocs"`
 }
 
 type outcome struct {
@@ -170,26 +143,32 @@ type outcome struct {
 	Pass       bool    `json:"pass"`
 }
 
-// obsOutcome is a paired-overhead gate: a variant of the macro-benchmark
-// against its plain twin from the same invocation (time, immune to
-// machine drift between commits) and against the PR 2 allocation record
-// (allocs, deterministic).
-type obsOutcome struct {
+// layerOutcome is a paired-overhead gate: a layer row of the
+// macro-benchmark against the plain row from the same invocation (time,
+// immune to machine drift between commits) and against the PR 2
+// allocation record (allocs, deterministic).
+type layerOutcome struct {
 	Benchmark   string  `json:"benchmark"`
 	Slowdown    float64 `json:"slowdown_vs_plain"`
 	ExtraAllocs float64 `json:"extra_allocs_vs_pr2"`
 	EventsSame  bool    `json:"events_identical"`
+	Runs        int     `json:"runs"`
 	Pass        bool    `json:"pass"`
 }
+
+// macro names the macro-benchmark; its rows are sub-benchmarks, and
+// plain is the row the baseline records and every layer row pair with.
+const (
+	macro      = "EnginePacketsPerSecond"
+	macroPlain = macro + "/plain"
+)
 
 // suites lists the benchmarks per package. Each layer of the core has
 // its own entry so a regression names its layer.
 var suites = []struct{ pkg, pattern string }{
-	// The Obs/Faults/Topo/Journey/CalendarOff variants run in the same
-	// invocation as the plain macro-benchmark so the overhead
-	// comparisons are paired: same machine, same load, interleaved by
-	// -count.
-	{".", "EnginePacketsPerSecond$|EnginePacketsPerSecondObsOff|EnginePacketsPerSecondFaultsOff|EnginePacketsPerSecondTopoOff|EnginePacketsPerSecondJourneyOff|EnginePacketsPerSecondExportOff|EnginePacketsPerSecondStoreOff|EnginePacketsPerSecondCalendarOff|TCPFlowSimSecond|TFRCFlowSimSecond"},
+	// Every macro row runs in one invocation, so the overhead
+	// comparisons are paired: same machine, same load.
+	{".", macro + "$|TCPFlowSimSecond|TFRCFlowSimSecond"},
 	{"./internal/sim", "EngineEventTurnover"},
 	{"./internal/netem", "LinkForward"},
 }
@@ -229,50 +208,21 @@ func main() {
 
 	g := gates{
 		MinSpeedup: 4.0, MinAllocsDrop: 0.60,
-		MaxObsSlowdown: 1.02, MaxObsExtraAllocs: 0,
-		MaxFallbackSlowdown: 3.0, MaxFallbackExtraAllocs: 16,
+		MaxLayerSlowdown: 1.02, MaxLayerExtraAllocs: 0,
 	}
 	rep := report{
-		Schema:    "slowcc-bench-core/3",
-		GoVersion: runtime.Version(),
-		NumCPU:    runtime.NumCPU(),
-		Settings:  fmt.Sprintf("-benchtime=%s -benchmem -count=%d (min recorded, min/max spread reported), seed 1", *benchtime, *count),
-		Baseline:  baseline,
-		PR2:       pr2,
-		Current:   cur,
-		Spread:    spreads,
-		Unstable:  unstable,
-		Gates:     g,
-		Trajectory: trajectory(baseline.Benchmarks["EnginePacketsPerSecond"],
-			cur.Benchmarks["EnginePacketsPerSecond"], g),
-		Obs: pairedOverhead("EnginePacketsPerSecondObsOff",
-			cur.Benchmarks["EnginePacketsPerSecond"],
-			cur.Benchmarks["EnginePacketsPerSecondObsOff"],
-			pr2.Benchmarks["EnginePacketsPerSecond"], g.MaxObsSlowdown, g.MaxObsExtraAllocs),
-		Faults: pairedOverhead("EnginePacketsPerSecondFaultsOff",
-			cur.Benchmarks["EnginePacketsPerSecond"],
-			cur.Benchmarks["EnginePacketsPerSecondFaultsOff"],
-			pr2.Benchmarks["EnginePacketsPerSecond"], g.MaxObsSlowdown, g.MaxObsExtraAllocs),
-		Topo: pairedOverhead("EnginePacketsPerSecondTopoOff",
-			cur.Benchmarks["EnginePacketsPerSecond"],
-			cur.Benchmarks["EnginePacketsPerSecondTopoOff"],
-			pr2.Benchmarks["EnginePacketsPerSecond"], g.MaxObsSlowdown, g.MaxObsExtraAllocs),
-		Journey: pairedOverhead("EnginePacketsPerSecondJourneyOff",
-			cur.Benchmarks["EnginePacketsPerSecond"],
-			cur.Benchmarks["EnginePacketsPerSecondJourneyOff"],
-			pr2.Benchmarks["EnginePacketsPerSecond"], g.MaxObsSlowdown, g.MaxObsExtraAllocs),
-		Export: pairedOverhead("EnginePacketsPerSecondExportOff",
-			cur.Benchmarks["EnginePacketsPerSecond"],
-			cur.Benchmarks["EnginePacketsPerSecondExportOff"],
-			pr2.Benchmarks["EnginePacketsPerSecond"], g.MaxObsSlowdown, g.MaxObsExtraAllocs),
-		Store: pairedOverhead("EnginePacketsPerSecondStoreOff",
-			cur.Benchmarks["EnginePacketsPerSecond"],
-			cur.Benchmarks["EnginePacketsPerSecondStoreOff"],
-			pr2.Benchmarks["EnginePacketsPerSecond"], g.MaxObsSlowdown, g.MaxObsExtraAllocs),
-		Calendar: pairedOverhead("EnginePacketsPerSecondCalendarOff",
-			cur.Benchmarks["EnginePacketsPerSecond"],
-			cur.Benchmarks["EnginePacketsPerSecondCalendarOff"],
-			pr2.Benchmarks["EnginePacketsPerSecond"], g.MaxFallbackSlowdown, g.MaxFallbackExtraAllocs),
+		Schema:     "slowcc-bench-core/4",
+		GoVersion:  runtime.Version(),
+		NumCPU:     runtime.NumCPU(),
+		Settings:   fmt.Sprintf("-benchtime=%s -benchmem -count=%d (min recorded, min/max spread reported), seed 1", *benchtime, *count),
+		Baseline:   baseline,
+		PR2:        pr2,
+		Current:    cur,
+		Spread:     spreads,
+		Unstable:   unstable,
+		Gates:      g,
+		Trajectory: trajectory(baseline.Benchmarks[macro], cur.Benchmarks[macroPlain], g),
+		Layers:     layerGates(cur.Benchmarks, nsRuns, *count, pr2.Benchmarks[macro], g),
 	}
 
 	blob, err := json.MarshalIndent(rep, "", "  ")
@@ -288,9 +238,9 @@ func main() {
 	t := rep.Trajectory
 	fmt.Printf("%s: speedup %.2fx (gate %.1fx), allocs drop %.2f%% (gate %.0f%%), events identical: %v -> %s\n",
 		t.Benchmark, t.Speedup, g.MinSpeedup, t.AllocsDrop*100, g.MinAllocsDrop*100, t.EventsSame, *out)
-	for _, o := range []obsOutcome{rep.Obs, rep.Faults, rep.Topo, rep.Journey, rep.Export, rep.Store, rep.Calendar} {
-		fmt.Printf("%s: slowdown %.3fx vs plain, extra allocs %+.0f vs pr2, events identical: %v\n",
-			o.Benchmark, o.Slowdown, o.ExtraAllocs, o.EventsSame)
+	for _, o := range rep.Layers {
+		fmt.Printf("%s: slowdown %.3fx vs plain, extra allocs %+.0f vs pr2, events identical: %v, in %d/%d runs\n",
+			o.Benchmark, o.Slowdown, o.ExtraAllocs, o.EventsSame, o.Runs, *count)
 	}
 	for _, name := range unstable {
 		s := spreads[name]
@@ -301,20 +251,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "slowccbench: optimization gates NOT met")
 		os.Exit(1)
 	}
-	for _, fail := range []struct {
-		o    obsOutcome
-		what string
-	}{
-		{rep.Obs, "observability overhead"},
-		{rep.Faults, "fault-injection overhead"},
-		{rep.Topo, "topology overhead"},
-		{rep.Journey, "journey overhead"},
-		{rep.Export, "export overhead"},
-		{rep.Store, "store overhead"},
-		{rep.Calendar, "calendar fallback"},
-	} {
-		if !fail.o.Pass {
-			fmt.Fprintf(os.Stderr, "slowccbench: %s gates NOT met\n", fail.what)
+	for _, o := range rep.Layers {
+		if !o.Pass {
+			fmt.Fprintf(os.Stderr, "slowccbench: %s overhead gates NOT met\n", o.Benchmark)
 			os.Exit(1)
 		}
 	}
@@ -363,7 +302,7 @@ func spreadOf(nsRuns map[string][]float64) (map[string]spread, []string) {
 }
 
 func trajectory(base, cur map[string]float64, g gates) outcome {
-	o := outcome{Benchmark: "EnginePacketsPerSecond"}
+	o := outcome{Benchmark: macroPlain}
 	if base == nil || cur == nil || cur["ns/op"] == 0 || base["allocs/op"] == 0 {
 		return o
 	}
@@ -374,21 +313,39 @@ func trajectory(base, cur map[string]float64, g gates) outcome {
 	return o
 }
 
-// pairedOverhead compares a macro-benchmark variant against the plain
-// variant from the same invocation and against the PR 2 allocation
-// record. Both variants must execute the same event count — no variant
-// is allowed to change simulated behavior — and that count must still
-// equal the PR 2 record's.
-func pairedOverhead(name string, plain, variant, pr2core map[string]float64, maxSlowdown, maxExtraAllocs float64) obsOutcome {
-	o := obsOutcome{Benchmark: name}
-	if plain == nil || variant == nil || pr2core == nil || plain["ns/op"] == 0 {
-		return o
+// layerGates pairs every layer row of the macro-benchmark in cur with
+// the plain row from the same invocation and with the PR 2 allocation
+// record. Every row must execute the same event count — no layer is
+// allowed to change simulated behavior — and that count must still
+// equal the PR 2 record's. A row (plain included) that is absent from
+// any of the count runs fails rather than being judged on the runs it
+// survived, and a run with no layer rows at all fails outright.
+func layerGates(cur map[string]map[string]float64, nsRuns map[string][]float64, count int, pr2core map[string]float64, g gates) []layerOutcome {
+	var rows []string
+	for name := range cur {
+		if strings.HasPrefix(name, macro+"/") && name != macroPlain {
+			rows = append(rows, name)
+		}
 	}
-	o.Slowdown = variant["ns/op"] / plain["ns/op"]
-	o.ExtraAllocs = variant["allocs/op"] - pr2core["allocs/op"]
-	o.EventsSame = variant["events"] == plain["events"] && variant["events"] == pr2core["events"]
-	o.Pass = o.Slowdown <= maxSlowdown && o.ExtraAllocs <= maxExtraAllocs && o.EventsSame
-	return o
+	if len(rows) == 0 {
+		return []layerOutcome{{Benchmark: macro + "/*"}}
+	}
+	sort.Strings(rows)
+	plain := cur[macroPlain]
+	var out []layerOutcome
+	for _, name := range rows {
+		o := layerOutcome{Benchmark: name, Runs: min(len(nsRuns[name]), len(nsRuns[macroPlain]))}
+		variant := cur[name]
+		if plain != nil && plain["ns/op"] != 0 && pr2core != nil {
+			o.Slowdown = variant["ns/op"] / plain["ns/op"]
+			o.ExtraAllocs = variant["allocs/op"] - pr2core["allocs/op"]
+			o.EventsSame = variant["events"] == plain["events"] && variant["events"] == pr2core["events"]
+			o.Pass = o.Slowdown <= g.MaxLayerSlowdown && o.ExtraAllocs <= g.MaxLayerExtraAllocs &&
+				o.EventsSame && o.Runs == count
+		}
+		out = append(out, o)
+	}
+	return out
 }
 
 // runSuite executes one `go test -bench` invocation and folds its rows

@@ -43,31 +43,56 @@ func TestSpreadOfFlagsUnstableRuns(t *testing.T) {
 	}
 }
 
-// The fallback gate must hold the CalendarOff variant to its own caps,
-// not the 2% obs cap: the heap is allowed to trail the calendar, but
-// only by the bounded factor, only with identical events.
-func TestPairedOverheadFallbackCaps(t *testing.T) {
-	plain := map[string]float64{"ns/op": 100, "events": 403989, "allocs/op": 437}
+// Every layer row is gated against plain from the same run: in-cap rows
+// pass, and a row that is too slow, allocates, drifts in events, or
+// drops out of one of the -count runs fails its gate instead of passing
+// silently.
+func TestLayerGates(t *testing.T) {
+	g := gates{MaxLayerSlowdown: 1.02, MaxLayerExtraAllocs: 0}
 	pr2c := map[string]float64{"ns/op": 388, "events": 403989, "allocs/op": 438}
+	row := func(ns, events, allocs float64) map[string]float64 {
+		return map[string]float64{"ns/op": ns, "events": events, "allocs/op": allocs}
+	}
+	const count = 3
+	runs := []float64{100, 101, 102}
+	for _, tc := range []struct {
+		name   string
+		layer  map[string]float64
+		runs   []float64 // the layer row's per-run ns/op samples
+		passes bool
+	}{
+		{"in cap", row(101, 403989, 437), runs, true},
+		{"at cap", row(102, 403989, 438), runs, true},
+		{"too slow", row(103, 403989, 437), runs, false},
+		{"extra allocs", row(101, 403989, 439), runs, false},
+		{"events drift", row(101, 403988, 437), runs, false},
+		{"missing from a run", row(101, 403989, 437), runs[:count-1], false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cur := map[string]map[string]float64{
+				macroPlain:         row(100, 403989, 437),
+				macro + "/layer":   tc.layer,
+				"TCPFlowSimSecond": row(5, 0, 0),
+			}
+			ns := map[string][]float64{macroPlain: runs, macro + "/layer": tc.runs}
+			out := layerGates(cur, ns, count, pr2c, g)
+			if len(out) != 1 || out[0].Benchmark != macro+"/layer" {
+				t.Fatalf("gated rows %+v, want exactly %s/layer", out, macro)
+			}
+			if out[0].Pass != tc.passes {
+				t.Fatalf("gate pass = %v, want %v: %+v", out[0].Pass, tc.passes, out[0])
+			}
+		})
+	}
+}
 
-	ok := map[string]float64{"ns/op": 180, "events": 403989, "allocs/op": 440}
-	if o := pairedOverhead("CalendarOff", plain, ok, pr2c, 3.0, 16); !o.Pass {
-		t.Fatalf("in-cap fallback failed the gate: %+v", o)
-	}
-	atCap := map[string]float64{"ns/op": 300, "events": 403989, "allocs/op": 440}
-	if o := pairedOverhead("CalendarOff", plain, atCap, pr2c, 3.0, 16); !o.Pass {
-		t.Fatalf("at-cap fallback failed the gate: %+v", o)
-	}
-	tooSlow := map[string]float64{"ns/op": 301, "events": 403989, "allocs/op": 440}
-	if o := pairedOverhead("CalendarOff", plain, tooSlow, pr2c, 3.0, 16); o.Pass {
-		t.Fatalf("over-cap fallback passed the gate: %+v", o)
-	}
-	wrongEvents := map[string]float64{"ns/op": 180, "events": 403988, "allocs/op": 440}
-	if o := pairedOverhead("CalendarOff", plain, wrongEvents, pr2c, 3.0, 16); o.Pass {
-		t.Fatalf("fallback with diverging events passed the gate: %+v", o)
-	}
-	allocHeavy := map[string]float64{"ns/op": 180, "events": 403989, "allocs/op": 460}
-	if o := pairedOverhead("CalendarOff", plain, allocHeavy, pr2c, 3.0, 16); o.Pass {
-		t.Fatalf("alloc-heavy fallback passed the gate: %+v", o)
+// A run whose output carries no layer rows at all — a renamed
+// benchmark, a broken -bench pattern — fails rather than gating
+// nothing.
+func TestLayerGatesWithoutRowsFail(t *testing.T) {
+	cur := map[string]map[string]float64{macroPlain: {"ns/op": 100, "events": 403989, "allocs/op": 437}}
+	out := layerGates(cur, map[string][]float64{macroPlain: {100}}, 1, cur[macroPlain], gates{MaxLayerSlowdown: 1.02})
+	if len(out) != 1 || out[0].Pass {
+		t.Fatalf("run without layer rows gated as %+v, want one failing outcome", out)
 	}
 }

@@ -22,8 +22,8 @@ import (
 // link, clock sanity on every event, and per-flow byte and bound checks.
 // The exp tests enable it for the whole package (see TestMain), so the
 // scaled-down figure suite cannot pass while any accounting invariant is
-// broken; benchmarks and production runs leave it off and pay only a nil
-// check per event. The collector is shared across engines because sweep
+// broken; benchmarks and production runs leave it off, so no auditor
+// sits in the engine's observer slot. The collector is shared across engines because sweep
 // drivers run scenarios concurrently via parallelMap.
 var audit struct {
 	mu         sync.Mutex
@@ -164,8 +164,9 @@ func newFaultScenario(c *Cell, seed int64, tc topology.Config, fc *faults.Config
 
 // observe attaches live-telemetry collection points to one engine the
 // cell constructed: a counter registry populated by the topology's
-// Observe, and a stream digest folding the engine's event stream (one
-// extra nil-check branch per event while the cell runs). The supervisor
+// Observe, and a stream digest folding the engine's event stream (a hook
+// in the engine's observer slot, woken on every event while the cell
+// runs). The supervisor
 // snapshots both into obs.CellStats after the job returns.
 func (c *Cell) observe(eng *sim.Engine, register func(*obs.Registry)) {
 	reg := &obs.Registry{}

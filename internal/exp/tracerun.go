@@ -47,8 +47,7 @@ type TraceRunConfig struct {
 	// Digest attaches a rolling stream digest to the engine
 	// (sim.StreamDigest): an O(1)-memory fingerprint of the executed
 	// event stream, recorded in the manifest and printed by
-	// slowcctrace -digest. Off (the default) is the one-nil-check
-	// disabled path.
+	// slowcctrace -digest. Off (the default) installs no hook.
 	Digest bool
 }
 

@@ -10,19 +10,22 @@
 //     Figures 3-5 and 13-16 always sums to the real drop count.
 //   - Clock sanity: the engine clock never moves backward, every event
 //     timestamp is finite, and same-instant events fire in FIFO
-//     (sequence) order, checked via sim.AuditHook.
+//     (sequence) order, checked by the auditor's sim.ProbeHook, which
+//     wakes on every event.
 //   - Flow accounting: a receiver can never have received more bytes
 //     than its sender transmitted, and declared per-algorithm values
 //     (cwnd, send rate) stay finite and inside their bounds, checked on
 //     a simulated-time cadence.
 //
-// Auditing is wired per engine/link and costs a nil pointer check per
-// event when not installed; the micro-benchmarks in internal/sim and
-// internal/netem run with it disabled and bound that cost.
+// Auditing is wired per engine/link; not installed it costs nothing
+// beyond the engine's observer-slot comparison and a nil link-auditor
+// check, and the micro-benchmarks in internal/sim and internal/netem
+// run with it disabled and bound that cost.
 package invariant
 
 import (
 	"fmt"
+	"math"
 
 	"slowcc/internal/netem"
 	"slowcc/internal/obs"
@@ -99,12 +102,12 @@ type valueWatch struct {
 	lo, hi float64
 }
 
-// New returns an auditor installed as eng's audit hook. The periodic
+// New returns an auditor installed in eng's observer slot. The periodic
 // checks piggyback on the engine's event stream, so no timers are
 // created and the engine still drains normally under Run.
 func New(eng *sim.Engine) *Auditor {
 	a := &Auditor{eng: eng, links: make(map[*netem.Link]string)}
-	eng.SetAudit(a)
+	eng.AddProbe(a)
 	return a
 }
 
@@ -192,20 +195,13 @@ func (a *Auditor) AuditLink(l *netem.Link, now sim.Time) {
 	}
 }
 
-// OnSchedule implements sim.AuditHook. Engine.At already panics on
-// non-finite or past timestamps, so this is defense in depth against a
-// future regression of that guard.
-func (a *Auditor) OnSchedule(now, at sim.Time) {
-	if !(at >= now) { // also catches NaN
-		a.record("clock", "engine", "scheduled event at %v with clock at %v", at, now)
-	}
-}
-
-// OnEvent implements sim.AuditHook: it asserts the clock never runs
-// backward, heap order delivers non-decreasing timestamps, same-instant
+// OnEvent implements sim.ProbeHook: it asserts the clock never runs
+// backward, queue order delivers non-decreasing timestamps, same-instant
 // events fire in FIFO sequence order, and — on the configured cadence —
-// runs the registered flow and bound checks.
-func (a *Auditor) OnEvent(prev, at sim.Time, seq uint64) {
+// runs the registered flow and bound checks. It asks to see every event.
+// (Schedule-time timestamps need no hook: Engine.At and its siblings
+// panic on non-finite or past times before the event is queued.)
+func (a *Auditor) OnEvent(prev, at sim.Time, seq uint64) sim.Time {
 	if !(at >= prev) {
 		a.record("clock", "engine", "event at %v fired with clock at %v", at, prev)
 	}
@@ -227,6 +223,7 @@ func (a *Auditor) OnEvent(prev, at sim.Time, seq uint64) {
 		a.lastCheck = at
 		a.checkFlows()
 	}
+	return math.Inf(-1)
 }
 
 func (a *Auditor) checkFlows() {

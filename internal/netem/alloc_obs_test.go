@@ -14,7 +14,7 @@ import (
 
 // Steady-state pooled forwarding with the full obs layer wired —
 // counters registered over the link, pool, and engine, and a disabled
-// sampler in the probe slot — must still allocate nothing per packet.
+// sampler in the observer slot — must still allocate nothing per packet.
 // The registry holds read closures only (nothing per event), and the
 // disabled sampler is one comparison per event.
 func TestAllocsLinkForwardZeroWithObsWired(t *testing.T) {

@@ -9,8 +9,8 @@
 // Everything here runs beside the simulator, never inside it: cells
 // snapshot their telemetry after their engines finish, scrapes read
 // merged copies under the collector's lock, and the wired-but-off cost
-// on the event hot path stays the usual one nil check (the stream
-// digest; see sim.StreamDigest).
+// on the event hot path stays the engine's one observer-slot comparison
+// (the stream digest is a hook in that slot; see sim.StreamDigest).
 package export
 
 import (

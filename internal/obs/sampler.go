@@ -6,8 +6,8 @@
 //
 // The layer follows the allocation-free discipline from PR 2: when a
 // feature is off it costs at most one comparison on the hot path, and
-// the Sampler piggybacks on the engine's event stream through the probe
-// hook (sim.Engine.SetProbe) rather than scheduling timers, so enabling
+// the Sampler piggybacks on the engine's event stream through the
+// observer slot (sim.Engine.AddProbe) rather than scheduling timers, so enabling
 // it cannot change the event sequence a seed produces.
 package obs
 
@@ -41,7 +41,7 @@ type samplerVar struct {
 
 // Sampler snapshots registered probe variables on a fixed cadence. It
 // implements sim.ProbeHook and is installed with Install (the engine's
-// probe slot): it observes every event's timestamp and, whenever the
+// observer slot): it observes every event's timestamp and, whenever the
 // clock crosses a multiple of Interval, reads every registered Var.
 // Because reads happen between events — synchronously, with no timers
 // of its own — a sampled run executes exactly the same event sequence
@@ -89,8 +89,8 @@ func (s *Sampler) AddVars(name string, vars []probe.Var) {
 	}
 }
 
-// Install attaches the sampler to the engine's probe hook slot.
-func (s *Sampler) Install(e *sim.Engine) { e.SetProbe(s) }
+// Install adds the sampler to the engine's observer slot.
+func (s *Sampler) Install(e *sim.Engine) { e.AddProbe(s) }
 
 // OnEvent implements sim.ProbeHook. It fires the sample loop for every
 // cadence tick at or before the event about to execute, reading state

@@ -5,7 +5,8 @@ import "slowcc/internal/sim"
 // StreamDigest re-exports sim.StreamDigest at the telemetry surface:
 // the rolling FNV-1a digest over an engine's executed-event stream that
 // turns the pinned-stream determinism assertions into an O(1)-memory
-// comparison. Install with sim.Engine.SetStreamDigest.
+// comparison. Install with sim.Engine.SetStreamDigest, which adds it to
+// the engine's observer slot.
 type StreamDigest = sim.StreamDigest
 
 // SweepEventKind labels one per-cell supervision transition. The kinds

@@ -46,25 +46,6 @@ func TestAllocsResetAfter(t *testing.T) {
 	}
 }
 
-// SetAudit(nil) — the default — must cost nothing: no allocations on the
-// schedule or execute paths beyond the timers themselves.
-func TestAllocsAuditDisabled(t *testing.T) {
-	e := New(1)
-	e.SetAudit(nil)
-	var fn func(any)
-	fn = func(arg any) { e.AfterFunc(0.001, fn, arg) }
-	e.AfterFunc(0.001, fn, nil)
-	e.RunUntil(1)
-	var horizon Time = 1
-	avg := testing.AllocsPerRun(100, func() {
-		horizon += 0.01
-		e.RunUntil(horizon)
-	})
-	if avg != 0 {
-		t.Fatalf("disabled audit hook allocates %v times per run, want 0", avg)
-	}
-}
-
 // Boxing a pointer argument through AtFunc's `any` parameter must not
 // allocate (pointers fit an interface word): if this regresses, every
 // packet delivery allocates again.

@@ -31,7 +31,7 @@ type Budget struct {
 type HaltCause uint8
 
 const (
-	// HaltDone is normal completion: the event heap drained (or the
+	// HaltDone is normal completion: the event queue drained (or the
 	// RunUntil horizon was reached) with budget to spare.
 	HaltDone HaltCause = iota
 	// HaltEvents means MaxEvents events executed.
@@ -104,7 +104,7 @@ func (e *Engine) Halted() *HaltReason {
 	return e.budget.halted
 }
 
-// RunBounded executes events under b until the heap drains or the
+// RunBounded executes events under b until the queue drains or the
 // budget stops it, and reports what happened. Any budget previously
 // installed with SetBudget is saved and restored.
 func (e *Engine) RunBounded(b Budget) HaltReason {
@@ -132,7 +132,7 @@ func (e *Engine) runBudgeted(horizon Time) bool {
 		return false
 	}
 	for {
-		head := e.peekMin()
+		head := e.cq.findMin()
 		if head == nil || head.at > horizon {
 			return true
 		}

@@ -9,11 +9,12 @@ import "math"
 // read the front of the current bucket, inserts drop timers into their
 // bucket in (at, seq) order. For the tick-dominated schedules the
 // simulator produces (per-packet TxTime at a bottleneck), both
-// operations are O(1) amortized, versus O(log n) sifts in the heap.
+// operations are O(1) amortized, versus O(log n) sifts in a heap.
 //
 // Exactness, not approximation: the queue implements the identical
-// (at, seq) total order as the heap. The argument (DESIGN.md §13) rests
-// on three properties:
+// (at, seq) total order a heap would (the test-only reference heap in
+// refheap_test.go checks it over a million random operations). The
+// argument (DESIGN.md §13) rests on three properties:
 //
 //  1. epochOf is monotone: a.at <= b.at implies epochOf(a) <= epochOf(b),
 //     because int64 truncation of a monotone non-negative float map is
@@ -28,7 +29,7 @@ import "math"
 //  3. Far-future timers — beyond one full ring revolution ("year") —
 //     live in a single (at, seq)-sorted overflow slice. The sweep
 //     compares its head against every bucket candidate with the same
-//     timerLess as the heap, so overflow residency can delay nothing
+//     timerLess as every bucket, so overflow residency can delay nothing
 //     and reorder nothing; pathological schedules degrade to a sorted
 //     slice, never to a corrupted order.
 //

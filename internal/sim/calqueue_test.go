@@ -1,9 +1,10 @@
 // Edge-case coverage for the calendar queue: same-instant FIFO across
 // ring rotation, handle operations on overflow residents, rejection
-// parity with the heap, and a randomized heap-vs-calendar differential
-// over a million mixed operations. These are the white-box half of the
+// parity across the scheduling entry points, and a randomized
+// differential against the reference heap (refheap_test.go) over a
+// million mixed operations. These are the white-box half of the
 // exactness argument in calqueue.go; the macro-level half (pinned event
-// streams) lives in the top-level calendar_off_test.go.
+// streams) lives in the top-level pinned_test.go.
 package sim
 
 import (
@@ -16,9 +17,6 @@ import (
 // queuedInCalendar counts live timers actually resident in the calendar
 // queue's buckets and overflow, for white-box leak assertions.
 func queuedInCalendar(e *Engine) int {
-	if e.cq == nil {
-		return 0
-	}
 	n := 0
 	for i := range e.cq.b {
 		for tm := e.cq.b[i].head; tm != nil; tm = tm.next {
@@ -35,10 +33,7 @@ func queuedInCalendar(e *Engine) int {
 // migrate into buckets as the cursor wraps, and must still come out in
 // exact (at, seq) order.
 func TestCalendarSameInstantFIFOAcrossRotation(t *testing.T) {
-	e := NewWithQueue(3, CalendarQueue)
-	if e.cq == nil {
-		t.Fatal("engine built with CalendarQueue has no calendar queue")
-	}
+	e := New(3)
 	year := e.cq.width * Time(len(e.cq.b))
 
 	// 64 distinct deadlines spread over ~24 ring revolutions, offset so
@@ -85,12 +80,12 @@ func TestCalendarSameInstantFIFOAcrossRotation(t *testing.T) {
 // insert behind the cursor must rewind it, or the new event would be
 // skipped until a full fruitless revolution forced the direct scan.
 func TestCalendarRewindOnInsertAfterPeek(t *testing.T) {
-	e := NewWithQueue(1, CalendarQueue)
+	e := New(1)
 	w := e.cq.width
 	var got []int
 	e.At(10*w+w/2, func() { got = append(got, 1) })
-	if tm := e.peekMin(); tm == nil {
-		t.Fatal("peekMin returned nil with one timer queued")
+	if tm := e.cq.findMin(); tm == nil {
+		t.Fatal("findMin returned nil with one timer queued")
 	}
 	// The cursor now sits on epoch 10; this lands on epoch 2, behind it.
 	e.At(2*w+w/2, func() { got = append(got, 0) })
@@ -107,7 +102,7 @@ func TestCalendarRewindOnInsertAfterPeek(t *testing.T) {
 // slice must stay sorted and index-consistent, a stopped overflow timer
 // must never fire, and a re-armed one must fire at its new time.
 func TestCalendarStopResetOverflowTimer(t *testing.T) {
-	e := NewWithQueue(1, CalendarQueue)
+	e := New(1)
 	var got []string
 	a := e.At(1e6, func() { got = append(got, "a") })
 	b := e.At(2e6, func() { got = append(got, "b") })
@@ -153,62 +148,60 @@ func TestCalendarStopResetOverflowTimer(t *testing.T) {
 	}
 }
 
-// Both queue kinds must reject exactly the same invalid timestamps, on
-// the same shared validate path: NaN, ±Inf, and the past all panic; a
-// huge-but-finite timestamp is accepted (the calendar parks it in the
-// overflow rather than overflowing the epoch arithmetic).
+// Every scheduling entry point must reject exactly the same invalid
+// timestamps, on the shared validate path: NaN, ±Inf, and the past all
+// panic; a huge-but-finite timestamp is accepted (the calendar parks it
+// in the overflow rather than overflowing the epoch arithmetic).
 func TestNonFiniteRejectionParity(t *testing.T) {
 	panics := func(fn func()) (p bool) {
 		defer func() { p = recover() != nil }()
 		fn()
 		return
 	}
-	for _, kind := range []QueueKind{CalendarQueue, HeapQueue} {
-		name := map[QueueKind]string{CalendarQueue: "calendar", HeapQueue: "heap"}[kind]
-		for _, bad := range []Time{math.NaN(), math.Inf(1), math.Inf(-1), -0.5} {
-			e := NewWithQueue(1, kind)
-			if !panics(func() { e.At(bad, func() {}) }) {
-				t.Errorf("%s: At(%v) did not panic", name, bad)
-			}
-			e2 := NewWithQueue(1, kind)
-			if !panics(func() { e2.AtFunc(bad, callFunc, func() {}) }) {
-				t.Errorf("%s: AtFunc(%v) did not panic", name, bad)
-			}
-			e3 := NewWithQueue(1, kind)
-			tm := e3.At(1, func() {})
-			if !panics(func() { e3.ResetAt(tm, bad, func() {}) }) {
-				t.Errorf("%s: ResetAt(%v) did not panic", name, bad)
-			}
+	for _, bad := range []Time{math.NaN(), math.Inf(1), math.Inf(-1), -0.5} {
+		e := New(1)
+		if !panics(func() { e.At(bad, func() {}) }) {
+			t.Errorf("At(%v) did not panic", bad)
 		}
-		e := NewWithQueue(1, kind)
-		fired := false
-		if panics(func() { e.At(1e308, func() { fired = true }) }) {
-			t.Errorf("%s: At(1e308) panicked; huge finite times are valid", name)
+		e2 := New(1)
+		if !panics(func() { e2.AtFunc(bad, callFunc, func() {}) }) {
+			t.Errorf("AtFunc(%v) did not panic", bad)
 		}
-		e.Run()
-		if !fired {
-			t.Errorf("%s: event at huge finite time never fired", name)
+		e3 := New(1)
+		tm := e3.At(1, func() {})
+		if !panics(func() { e3.ResetAt(tm, bad, func() {}) }) {
+			t.Errorf("ResetAt(%v) did not panic", bad)
 		}
+	}
+	e := New(1)
+	fired := false
+	if panics(func() { e.At(1e308, func() { fired = true }) }) {
+		t.Error("At(1e308) panicked; huge finite times are valid")
+	}
+	e.Run()
+	if !fired {
+		t.Error("event at huge finite time never fired")
 	}
 }
 
-// Randomized differential test: a calendar-backed engine and a
-// heap-backed engine are driven through the same ~1e6 mixed operations
-// (schedules at mixed time scales, in-place re-arms, stops, and event
-// pops) and must agree on every observable: the exact fired sequence,
-// Stop results, the clock, and the pending count. The heap is the
-// oracle; any divergence is an ordering bug in the calendar queue.
+// Randomized differential test: the engine and the reference heap model
+// are driven through the same ~1e6 mixed operations (schedules at mixed
+// time scales, in-place re-arms, stops, and event pops) and must agree
+// on every observable: the exact fired sequence, Stop results, the
+// pending count, and the final clock. The heap is the oracle; any
+// divergence is an ordering bug in the calendar queue.
 func TestCalendarVsHeapRandomizedOps(t *testing.T) {
 	const ops = 1_000_000
 	rng := rand.New(rand.NewSource(42))
 
-	cal := NewWithQueue(7, CalendarQueue)
-	heap := NewWithQueue(7, HeapQueue)
+	cal := New(7)
+	heap := &refQueue{}
 	var firedCal, firedHeap []int32
 
 	// Parallel handle arrays: hCal[i] and hHeap[i] are the same logical
-	// timer on the two engines.
-	var hCal, hHeap []*Timer
+	// timer on the engine and the model.
+	var hCal []*Timer
+	var hHeap []*refTimer
 	nextID := int32(0)
 
 	// delay picks a duration from the schedule's mixed scales: ties (0),
@@ -232,7 +225,7 @@ func TestCalendarVsHeapRandomizedOps(t *testing.T) {
 		id := nextID
 		nextID++
 		hCal = append(hCal, cal.At(cal.Now()+d, func() { firedCal = append(firedCal, id) }))
-		hHeap = append(hHeap, heap.At(heap.Now()+d, func() { firedHeap = append(firedHeap, id) }))
+		hHeap = append(hHeap, heap.At(heap.now+d, func() { firedHeap = append(firedHeap, id) }))
 	}
 
 	for op := 0; op < ops; op++ {
@@ -247,10 +240,10 @@ func TestCalendarVsHeapRandomizedOps(t *testing.T) {
 			id := nextID
 			nextID++
 			hCal[i] = cal.ResetAt(hCal[i], cal.Now()+d, func() { firedCal = append(firedCal, id) })
-			hHeap[i] = heap.ResetAt(hHeap[i], heap.Now()+d, func() { firedHeap = append(firedHeap, id) })
+			hHeap[i] = heap.ResetAt(hHeap[i], heap.now+d, func() { firedHeap = append(firedHeap, id) })
 		case r < 0.70 && len(hCal) > 0:
 			i := rng.Intn(len(hCal))
-			sc, sh := hCal[i].Stop(), hHeap[i].Stop()
+			sc, sh := hCal[i].Stop(), heap.Stop(hHeap[i])
 			if sc != sh {
 				t.Fatalf("op %d: Stop disagrees: calendar %v, heap %v", op, sc, sh)
 			}
@@ -269,11 +262,11 @@ func TestCalendarVsHeapRandomizedOps(t *testing.T) {
 	cal.Run()
 	heap.Run()
 
-	if cal.Now() != heap.Now() {
-		t.Fatalf("clocks disagree after drain: calendar %v, heap %v", cal.Now(), heap.Now())
+	if cal.Now() != heap.now {
+		t.Fatalf("clocks disagree after drain: calendar %v, heap %v", cal.Now(), heap.now)
 	}
-	if cal.Steps() != heap.Steps() {
-		t.Fatalf("step counts disagree: calendar %d, heap %d", cal.Steps(), heap.Steps())
+	if cal.Steps() != heap.steps {
+		t.Fatalf("step counts disagree: calendar %d, heap %d", cal.Steps(), heap.steps)
 	}
 	if len(firedCal) != len(firedHeap) {
 		t.Fatalf("fired counts disagree: calendar %d, heap %d", len(firedCal), len(firedHeap))

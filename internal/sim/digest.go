@@ -6,15 +6,15 @@ import "math"
 // executed-event stream. Each event folds in the tuple the differential
 // queue tests compare — the execution timestamp's exact float64 bits,
 // the schedule sequence number, and a clock-advanced kind byte — so two
-// runs have equal digests exactly when the heap-oracle differential
+// runs have equal digests exactly when a recorded-trace comparison
 // would find their event streams identical, but the comparison needs
 // O(1) memory instead of a recorded trace (the pinned seed-1 macro run
 // is 403989 events).
 //
-// The digest is wired through Engine.SetStreamDigest next to the audit
-// slot: disabled it costs one nil check per executed event, enabled it
-// is allocation-free (TestStreamDigestZeroAlloc pins this). The zero
-// value is ready to use.
+// The digest is a ProbeHook that wakes on every event, installed with
+// Engine.SetStreamDigest: absent, it costs nothing beyond the observer
+// slot's one comparison per event; enabled, it is allocation-free
+// (TestStreamDigestZeroAlloc pins this). The zero value is ready to use.
 type StreamDigest struct {
 	sum    uint64
 	events uint64
@@ -26,9 +26,9 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// fold absorbs one executed event. Called from Engine.exec with the
-// same (prev, at, seq) arguments the audit hook receives.
-func (d *StreamDigest) fold(prev, at Time, seq uint64) {
+// OnEvent implements ProbeHook: it absorbs one executed event and asks
+// to see the next one.
+func (d *StreamDigest) OnEvent(prev, at Time, seq uint64) Time {
 	h := d.sum
 	if d.events == 0 {
 		h = fnvOffset64
@@ -41,6 +41,7 @@ func (d *StreamDigest) fold(prev, at Time, seq uint64) {
 	}
 	d.sum = (h ^ kind) * fnvPrime64
 	d.events++
+	return math.Inf(-1)
 }
 
 // floatBits exposes the exact bit pattern of a timestamp: digests must
@@ -72,9 +73,6 @@ func (d *StreamDigest) Events() uint64 { return d.events }
 // Reset returns the digest to its empty state.
 func (d *StreamDigest) Reset() { d.sum, d.events = 0, 0 }
 
-// SetStreamDigest installs d as the engine's event-stream digest; nil
-// disables it. Like the audit and probe slots, the disabled path costs
-// one nil check per executed event, and the digest never schedules
-// timers, so enabling it cannot change the event sequence a seed
-// produces.
-func (e *Engine) SetStreamDigest(d *StreamDigest) { e.dig = d }
+// SetStreamDigest installs d (non-nil) in the engine's observer slot;
+// see AddProbe.
+func (e *Engine) SetStreamDigest(d *StreamDigest) { e.AddProbe(d) }

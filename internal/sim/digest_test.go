@@ -5,22 +5,22 @@ import (
 	"testing"
 )
 
-// digestWorkload drives eng through a deterministic mixed schedule —
+// digestWorkload schedules a deterministic mixed workload through at —
 // self-rescheduling cadences at coprime periods plus a burst of
-// same-instant timers — busy enough to exercise rotation/overflow in
-// calendar mode and sibling ordering in heap mode.
-func digestWorkload(eng *Engine, seed int64) {
+// random-instant timers — busy enough to exercise bucket rotation in
+// the calendar queue and sibling ordering in the reference heap. Run it
+// to t=2.
+func digestWorkload(at func(Time, func()), now func() Time, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < 8; i++ {
 		period := 0.001 * float64(i+1)
 		var tick func()
-		tick = func() { eng.After(period, tick) }
-		eng.After(period, tick)
+		tick = func() { at(now()+period, tick) }
+		at(now()+period, tick)
 	}
 	for i := 0; i < 64; i++ {
-		eng.At(rng.Float64()*2, func() {})
+		at(rng.Float64()*2, func() {})
 	}
-	eng.RunUntil(2)
 }
 
 func TestStreamDigestEmptyAndReset(t *testing.T) {
@@ -31,7 +31,7 @@ func TestStreamDigestEmptyAndReset(t *testing.T) {
 	if d.Events() != 0 {
 		t.Fatalf("empty digest Events = %d", d.Events())
 	}
-	d.fold(0, 1, 1)
+	d.OnEvent(0, 1, 1)
 	if d.Events() != 1 || d.Sum() == fnvOffset64 {
 		t.Fatalf("after one fold: events=%d sum=%#x", d.Events(), d.Sum())
 	}
@@ -48,7 +48,7 @@ func TestStreamDigestDistinguishesTupleComponents(t *testing.T) {
 	sum := func(tuples [][3]float64) uint64 {
 		var d StreamDigest
 		for _, tp := range tuples {
-			d.fold(Time(tp[0]), Time(tp[1]), uint64(tp[2]))
+			d.OnEvent(Time(tp[0]), Time(tp[1]), uint64(tp[2]))
 		}
 		return d.Sum()
 	}
@@ -70,27 +70,28 @@ func TestStreamDigestDistinguishesTupleComponents(t *testing.T) {
 }
 
 // Identical schedules must digest identically across queue kinds: the
-// calendar queue and the heap fallback promise the same (at, seq) total
-// order, and the digest is how that promise is checked in O(1) memory.
+// engine's calendar queue and the reference heap (refheap_test.go)
+// promise the same (at, seq) total order, and the digest fingerprints
+// that stream itself, which is what lets CI compare two runs by one hex
+// string instead of two recorded traces.
 func TestStreamDigestMatchesAcrossQueueKinds(t *testing.T) {
-	sums := map[QueueKind]uint64{}
-	events := map[QueueKind]uint64{}
-	for _, kind := range []QueueKind{CalendarQueue, HeapQueue} {
-		eng := NewWithQueue(7, kind)
-		var d StreamDigest
-		eng.SetStreamDigest(&d)
-		digestWorkload(eng, 7)
-		sums[kind] = d.Sum()
-		events[kind] = d.Events()
-		if d.Events() != eng.Steps() {
-			t.Fatalf("%v: digest saw %d events, engine executed %d", kind, d.Events(), eng.Steps())
-		}
+	eng := New(7)
+	var d StreamDigest
+	eng.SetStreamDigest(&d)
+	digestWorkload(func(t Time, fn func()) { eng.At(t, fn) }, eng.Now, 7)
+	eng.RunUntil(2)
+	if d.Events() != eng.Steps() {
+		t.Fatalf("digest saw %d events, engine executed %d", d.Events(), eng.Steps())
 	}
-	if events[CalendarQueue] != events[HeapQueue] {
-		t.Fatalf("event counts diverged: calendar %d, heap %d", events[CalendarQueue], events[HeapQueue])
+
+	model := &refQueue{dig: &StreamDigest{}}
+	digestWorkload(func(t Time, fn func()) { model.At(t, fn) }, func() Time { return model.now }, 7)
+	model.RunUntil(2)
+	if d.Events() != model.dig.Events() {
+		t.Fatalf("event counts diverged: engine %d, reference %d", d.Events(), model.dig.Events())
 	}
-	if sums[CalendarQueue] != sums[HeapQueue] {
-		t.Fatalf("stream digests diverged: calendar %#x, heap %#x", sums[CalendarQueue], sums[HeapQueue])
+	if d.Sum() != model.dig.Sum() {
+		t.Fatalf("stream digests diverged: engine %#x, reference %#x", d.Sum(), model.dig.Sum())
 	}
 }
 
@@ -104,15 +105,15 @@ func TestStreamDigestZeroAlloc(t *testing.T) {
 		prev := at
 		at += 0.001
 		seq++
-		d.fold(prev, at, seq)
+		d.OnEvent(prev, at, seq)
 	})
 	if allocs != 0 {
-		t.Fatalf("StreamDigest.fold allocates %.1f per event, want 0", allocs)
+		t.Fatalf("StreamDigest.OnEvent allocates %.1f per event, want 0", allocs)
 	}
 }
 
-// The disabled path is one nil check: running with no digest installed
-// must stay allocation-free exactly like the audit-off path.
+// The disabled path is the observer slot's one comparison: running with
+// no digest installed must stay allocation-free.
 func TestStreamDigestDisabledZeroAlloc(t *testing.T) {
 	eng := New(3)
 	var fn func(any)

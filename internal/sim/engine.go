@@ -8,21 +8,19 @@
 // simulated seconds, far below the range where float64 granularity could
 // reorder events.
 //
-// Two queue implementations sit behind the same (at, seq) total order:
-// the default is a time-bucketed calendar queue (calqueue.go) with O(1)
+// The queue is a time-bucketed calendar queue (calqueue.go) with O(1)
 // amortized insert and pop for the tick-dominated schedules the paper's
-// scenarios produce; a hand-rolled, index-maintained 4-ary min-heap
-// remains as a fallback (HeapQueue) and as the differential-testing
-// oracle. Both recycle fired handle-less timers through a free list, so
-// the steady-state packet path schedules events without allocating.
+// scenarios produce, ordered by (at, seq). A 4-ary min-heap over the
+// same order survives only in the tests, as the reference model the
+// randomized differential compares the engine against. Fired
+// handle-less timers are recycled through a free list, so the
+// steady-state packet path schedules events without allocating.
 package sim
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"sync"
 )
 
 // Time is a simulated timestamp or duration, in seconds.
@@ -49,15 +47,14 @@ type Timer struct {
 	eng *Engine
 	// next/prev link the timer into its calendar-queue bucket (an
 	// intrusive doubly-linked list, so Stop unlinks in O(1) with no
-	// per-bucket storage). Unused in heap mode.
+	// per-bucket storage).
 	next, prev *Timer
-	// index is the position in the heap (heap mode) or the sorted
-	// overflow slice (calendar mode); for calendar bucket residents it is
-	// pinned to 0. It is -1 exactly when the timer is not queued, in both
-	// modes, so Pending stays one comparison.
+	// index is the position in the sorted overflow slice; for bucket
+	// residents it is pinned to 0. It is -1 exactly when the timer is
+	// not queued, so Pending stays one comparison.
 	index int32
 	// bkt is the calendar bucket index, bktOverflow for the sorted
-	// far-future overflow, bktNone when not queued. Unused in heap mode.
+	// far-future overflow, bktNone when not queued.
 	bkt     int32
 	stopped bool
 	pooled  bool // engine-owned (no external handle); recycle after firing
@@ -78,7 +75,7 @@ func (t *Timer) Stop() bool {
 	}
 	t.stopped = true
 	t.eng.stops++
-	t.eng.removeTimer(t)
+	t.eng.cq.remove(t)
 	return true
 }
 
@@ -94,92 +91,41 @@ func (t *Timer) Pending() bool { return t != nil && !t.stopped && t.index >= 0 }
 // When returns the simulated time the timer is (or was) scheduled to fire.
 func (t *Timer) When() Time { return t.at }
 
-// AuditHook observes scheduler operation for invariant checking (see
-// internal/invariant). Both methods are called synchronously on the
-// simulation goroutine; implementations must not mutate the engine.
-type AuditHook interface {
-	// OnSchedule is called for every accepted At/After with the validated
-	// timestamp, before the event enters the queue.
-	OnSchedule(now, at Time)
-	// OnEvent is called immediately before an event executes. prev is the
-	// clock value before this event advanced it; at and seq identify the
-	// event popped from the queue.
-	OnEvent(prev, at Time, seq uint64)
-}
-
-// ProbeHook observes executed events for state sampling (see
-// internal/obs). It is the narrow half of AuditHook: a probe only
-// watches the clock advance, so the engine does not dispatch schedule
-// notifications to it. OnEvent returns the next simulated time the
-// hook wants to observe; the engine skips the hook entirely until an
-// event reaches that time, so a probe that samples on a cadence costs
-// one float comparison per event between ticks, and a disabled probe
-// (returning +Inf) costs that comparison forever. Called synchronously
-// on the simulation goroutine; implementations must not mutate the
-// engine.
+// ProbeHook observes executed events: state sampling (internal/obs),
+// invariant auditing (internal/invariant) and the stream digest all
+// ride it. OnEvent returns the next simulated time the hook wants to
+// observe; the engine skips the hook entirely until an event reaches
+// that time, so a probe that samples on a cadence costs one float
+// comparison per event between ticks, a disabled probe (returning +Inf)
+// costs that comparison forever, and a hook that returns -Inf wakes on
+// every event. Called synchronously on the simulation goroutine;
+// implementations must not mutate the engine.
 type ProbeHook interface {
-	// OnEvent is called immediately before an event executes, with the
-	// same arguments as AuditHook.OnEvent. It returns the earliest
-	// simulated time at which the hook needs to run again (+Inf for
-	// never); the engine will not call it for events before that time.
+	// OnEvent is called immediately before an event executes. prev is
+	// the clock value before this event advanced it; at and seq identify
+	// the event popped from the queue. It returns the earliest simulated
+	// time at which the hook needs to run again (+Inf for never); the
+	// engine will not call it for events before that time.
 	OnEvent(prev, at Time, seq uint64) Time
 }
-
-// QueueKind selects the event-queue implementation backing an Engine.
-// Both kinds implement the identical (at, seq) total order — the
-// differential tests in calqueue_test.go and the macro stream pins assert
-// pop-order equality — so the choice affects performance only.
-type QueueKind uint8
-
-const (
-	// CalendarQueue is the default: time-bucketed, O(1) amortized
-	// insert/pop for tick-dominated schedules, sorted overflow for
-	// far-future events.
-	CalendarQueue QueueKind = iota
-	// HeapQueue is the 4-ary min-heap fallback and differential oracle.
-	HeapQueue
-)
-
-// defaultQueue resolves the process-wide default queue kind once:
-// calendar unless SLOWCC_EVENTQ=heap asks for the fallback.
-var defaultQueue = sync.OnceValue(func() QueueKind {
-	if os.Getenv("SLOWCC_EVENTQ") == "heap" {
-		return HeapQueue
-	}
-	return CalendarQueue
-})
-
-// DefaultQueue returns the queue kind New uses: CalendarQueue, unless the
-// SLOWCC_EVENTQ=heap environment knob selects the heap fallback for the
-// whole process (the CalendarOff benchmarks and differential smoke use
-// explicit constructors instead).
-func DefaultQueue() QueueKind { return defaultQueue() }
 
 // Engine is a discrete-event scheduler. Create one with New; the zero
 // value is not usable because it lacks an RNG.
 type Engine struct {
-	now Time
-	seq uint64
-	// Exactly one of cq and events backs the queue: cq when the engine
-	// was built with CalendarQueue (the default), the 4-ary min-heap
-	// slice otherwise. Hot paths branch on cq != nil rather than going
-	// through an interface so the common case stays devirtualized.
+	now    Time
+	seq    uint64
 	cq     *calQueue
-	events []*Timer // 4-ary min-heap ordered by (at, seq); heap mode only
 	free   []*Timer // recycled timers with no external references
 	rng    *rand.Rand
 	nsteps uint64
-	audit  AuditHook
-	// dig, when non-nil, folds every executed event into a rolling
-	// FNV-1a stream digest (see StreamDigest). Third hook slot, same
-	// discipline as audit: one nil check per event when absent.
-	dig   *StreamDigest
-	probe ProbeHook // second hook slot: sampling, never validation
-	// probeAt is the probe hook's requested wake time: events strictly
-	// before it skip the hook with one comparison. +Inf when no probe is
-	// installed (or the installed one asked never to be called again).
-	probeAt Time
-	crash   func(reason string)
+	// hook is the single observer slot (see AddProbe); several hooks
+	// share it through a fanout. hookAt is its requested wake time:
+	// events strictly before it skip the hook with one comparison. +Inf
+	// when nothing is installed (or the installed hook asked never to be
+	// called again).
+	hook   ProbeHook
+	hookAt Time
+	crash  func(reason string)
 	// budget, when non-nil, bounds Run/RunUntil (see Budget). One pointer
 	// check per run leg when absent.
 	budget *budgetState
@@ -195,21 +141,13 @@ type Engine struct {
 
 // New returns an engine whose clock starts at zero and whose random
 // number generator is seeded with seed. Two engines constructed with the
-// same seed and fed the same schedule produce identical runs — including
-// across queue kinds (see NewWithQueue).
+// same seed and fed the same schedule produce identical runs.
 func New(seed int64) *Engine {
-	return NewWithQueue(seed, DefaultQueue())
-}
-
-// NewWithQueue is New with an explicit event-queue implementation. The
-// event order is identical for both kinds; HeapQueue exists as the
-// fallback knob and the oracle for differential tests.
-func NewWithQueue(seed int64, kind QueueKind) *Engine {
-	e := &Engine{rng: rand.New(rand.NewSource(seed)), probeAt: math.Inf(1)}
-	if kind == CalendarQueue {
-		e.cq = newCalQueue(calDefaultWidth)
+	return &Engine{
+		rng:    rand.New(rand.NewSource(seed)),
+		cq:     newCalQueue(calDefaultWidth),
+		hookAt: math.Inf(1),
 	}
-	return e
 }
 
 // HintTick sizes the calendar queue's buckets to the dominant event
@@ -217,9 +155,9 @@ func NewWithQueue(seed int64, kind QueueKind) *Engine {
 // paper's topologies), so back-to-back packet events land in adjacent
 // buckets instead of piling into one. The hint affects performance only,
 // never event order; the width adapter still corrects a badly wrong hint.
-// No-op in heap mode or for non-positive/non-finite dt.
+// No-op for non-positive/non-finite dt.
 func (e *Engine) HintTick(dt Time) {
-	if e.cq == nil || !(dt > 0) || math.IsInf(dt, 0) {
+	if !(dt > 0) || math.IsInf(dt, 0) {
 		return
 	}
 	e.cq.rebuild(len(e.cq.b), dt)
@@ -238,34 +176,49 @@ func (e *Engine) Steps() uint64 { return e.nsteps }
 // Pending returns the exact number of live (non-stopped, not yet fired)
 // timers. Stopped timers are removed from the queue immediately, so they
 // never inflate this count.
-func (e *Engine) Pending() int {
-	if e.cq != nil {
-		return e.cq.n
+func (e *Engine) Pending() int { return e.cq.n }
+
+// AddProbe installs h in the engine's observer slot. Hooks never
+// schedule timers, so installing one cannot change the event sequence a
+// seed produces. The hook is first consulted on the next executed event,
+// after which its own return values pace it (see ProbeHook); install it
+// in its final enabled/disabled state, since a hook that answered
+// "never again" is not re-consulted. A second hook turns the slot into a
+// fanout that wakes each hook on its own schedule, so the slot's cost
+// with nothing installed stays one comparison per event.
+func (e *Engine) AddProbe(h ProbeHook) {
+	switch cur := e.hook.(type) {
+	case nil:
+		e.hook = h
+	case *fanout:
+		*cur = append(*cur, wakingHook{h, math.Inf(-1)})
+	default:
+		e.hook = &fanout{{cur, e.hookAt}, {h, math.Inf(-1)}}
 	}
-	return len(e.events)
+	e.hookAt = math.Inf(-1)
 }
 
-// SetAudit installs h as the engine's audit hook; nil disables auditing.
-// The hook costs one nil check per scheduled and executed event when
-// disabled.
-func (e *Engine) SetAudit(h AuditHook) { e.audit = h }
+// fanout shares the observer slot between several hooks, each with its
+// own wake time; the slot wakes at the earliest of them.
+type fanout []wakingHook
 
-// SetProbe installs h as the engine's observation hook; nil disables it.
-// It is a second, independent slot so state sampling (internal/obs) can
-// piggyback on the event stream without competing with the invariant
-// auditor and, critically, without scheduling timers of its own:
-// enabling a probe must not change the event sequence a seed produces.
-// The hook is first consulted on the next executed event, after which
-// its own return values pace it (see ProbeHook); install the hook in
-// its final enabled/disabled state, since a hook that answered "never
-// again" is not re-consulted.
-func (e *Engine) SetProbe(h ProbeHook) {
-	e.probe = h
-	if h == nil {
-		e.probeAt = math.Inf(1)
-	} else {
-		e.probeAt = math.Inf(-1)
+type wakingHook struct {
+	ProbeHook
+	at Time
+}
+
+func (f *fanout) OnEvent(prev, at Time, seq uint64) Time {
+	next := math.Inf(1)
+	for i := range *f {
+		w := &(*f)[i]
+		if at >= w.at {
+			w.at = w.OnEvent(prev, at, seq)
+		}
+		if w.at < next {
+			next = w.at
+		}
 	}
+	return next
 }
 
 // SetCrashHook installs fn to run immediately before the engine panics
@@ -289,8 +242,9 @@ func (e *Engine) Stops() uint64 { return e.stops }
 // silently clamping would corrupt causality. Non-finite times (NaN, ±Inf)
 // panic on the same path: NaN in particular compares false against
 // everything, so it would otherwise slip past the t < now guard and
-// corrupt queue ordering for every later event. Both queue kinds share
-// this guard, so rejection behavior is identical by construction.
+// corrupt queue ordering for every later event. Every scheduling entry
+// point (At, AtFunc, ResetAtFunc) runs this guard before the timer
+// reaches the queue, so rejection behavior is identical on all of them.
 func (e *Engine) validate(t Time) {
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		e.crashf(fmt.Sprintf("sim: scheduling event at non-finite time %v (now %v)", t, e.now))
@@ -313,51 +267,12 @@ func (e *Engine) crashf(reason string) {
 // the queue. The caller has already validated t and set the callback
 // fields.
 func (e *Engine) schedule(t Time, tm *Timer) {
-	if e.audit != nil {
-		e.audit.OnSchedule(e.now, t)
-	}
 	e.scheduled++
 	e.seq++
 	tm.at = t
 	tm.seq = e.seq
 	tm.stopped = false
-	if e.cq != nil {
-		e.cq.insert(tm)
-	} else {
-		e.push(tm)
-	}
-}
-
-// removeTimer deletes a queued timer from whichever queue backs the
-// engine, leaving tm.index == -1.
-func (e *Engine) removeTimer(tm *Timer) {
-	if e.cq != nil {
-		e.cq.remove(tm)
-	} else {
-		e.remove(int(tm.index))
-	}
-}
-
-// peekMin returns the earliest pending timer without removing it, or nil
-// when the queue is empty.
-func (e *Engine) peekMin() *Timer {
-	if e.cq != nil {
-		return e.cq.findMin()
-	}
-	if len(e.events) > 0 {
-		return e.events[0]
-	}
-	return nil
-}
-
-// takeMin removes tm — which must be the head peekMin just returned —
-// from the queue.
-func (e *Engine) takeMin(tm *Timer) {
-	if e.cq != nil {
-		e.cq.popHead(tm)
-	} else {
-		e.popMin()
-	}
+	e.cq.insert(tm)
 }
 
 // newTimer returns a zeroed timer, reusing a recycled one when available.
@@ -461,7 +376,7 @@ func (e *Engine) ResetAtFunc(tm *Timer, t Time, fn func(any), arg any) *Timer {
 	e.validate(t)
 	e.rearms++
 	if tm.index >= 0 {
-		e.removeTimer(tm)
+		e.cq.remove(tm)
 	}
 	tm.fnA = fn
 	tm.arg = arg
@@ -480,14 +395,8 @@ func (e *Engine) exec(tm *Timer) {
 	prev := e.now
 	e.now = tm.at
 	e.nsteps++
-	if e.audit != nil {
-		e.audit.OnEvent(prev, tm.at, tm.seq)
-	}
-	if e.dig != nil {
-		e.dig.fold(prev, tm.at, tm.seq)
-	}
-	if tm.at >= e.probeAt {
-		e.probeAt = e.probe.OnEvent(prev, tm.at, tm.seq)
+	if tm.at >= e.hookAt {
+		e.hookAt = e.hook.OnEvent(prev, tm.at, tm.seq)
 	}
 	fn, arg := tm.fnA, tm.arg
 	if tm.pooled {
@@ -500,11 +409,11 @@ func (e *Engine) exec(tm *Timer) {
 // runnable events remain. Stopped timers are removed from the queue by
 // Stop itself, so every popped timer is live.
 func (e *Engine) step() bool {
-	tm := e.peekMin()
+	tm := e.cq.findMin()
 	if tm == nil {
 		return false
 	}
-	e.takeMin(tm)
+	e.cq.popHead(tm)
 	e.exec(tm)
 	return true
 }
@@ -534,11 +443,11 @@ func (e *Engine) RunUntil(t Time) {
 		return
 	}
 	for {
-		tm := e.peekMin()
+		tm := e.cq.findMin()
 		if tm == nil || tm.at > t {
 			break
 		}
-		e.takeMin(tm)
+		e.cq.popHead(tm)
 		e.exec(tm)
 	}
 	if t > e.now {
@@ -546,110 +455,12 @@ func (e *Engine) RunUntil(t Time) {
 	}
 }
 
-// The fallback event heap is 4-ary: children of node i live at 4i+1..4i+4,
-// the parent of node i at (i-1)/4. Ordering is (at, seq); seq is unique,
-// so the order is total and pop order is exactly the FIFO-on-ties order
-// the determinism guarantee requires. The calendar queue (calqueue.go)
-// implements the identical order over time buckets.
-
-// timerLess reports whether event a fires before event b.
+// timerLess reports whether event a fires before event b: ordering is
+// (at, seq), and seq is unique, so the order is total and pop order is
+// exactly the FIFO-on-ties order the determinism guarantee requires.
 func timerLess(a, b *Timer) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
-}
-
-func (e *Engine) push(tm *Timer) {
-	tm.index = int32(len(e.events))
-	e.events = append(e.events, tm)
-	e.siftUp(int(tm.index))
-}
-
-// popMin removes and returns the earliest timer.
-func (e *Engine) popMin() *Timer {
-	h := e.events
-	tm := h[0]
-	n := len(h) - 1
-	if n > 0 {
-		h[0] = h[n]
-		h[0].index = 0
-	}
-	h[n] = nil
-	e.events = h[:n]
-	if n > 1 {
-		e.siftDown(0)
-	}
-	tm.index = -1
-	return tm
-}
-
-// remove deletes the timer at heap position i, restoring heap order.
-func (e *Engine) remove(i int) {
-	h := e.events
-	tm := h[i]
-	n := len(h) - 1
-	if i != n {
-		h[i] = h[n]
-		h[i].index = int32(i)
-		h[n] = nil
-		e.events = h[:n]
-		if !e.siftDown(i) {
-			e.siftUp(i)
-		}
-	} else {
-		h[n] = nil
-		e.events = h[:n]
-	}
-	tm.index = -1
-}
-
-// siftUp moves the node at i toward the root until its parent fires no
-// later than it does.
-func (e *Engine) siftUp(i int) {
-	h := e.events
-	tm := h[i]
-	for i > 0 {
-		p := (i - 1) / 4
-		if !timerLess(tm, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		h[i].index = int32(i)
-		i = p
-	}
-	h[i] = tm
-	tm.index = int32(i)
-}
-
-// siftDown moves the node at i toward the leaves, swapping with its
-// earliest child while that child fires first. It reports whether the
-// node moved.
-func (e *Engine) siftDown(i int) bool {
-	h := e.events
-	n := len(h)
-	tm := h[i]
-	start := i
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		// Find the earliest of up to four children.
-		min := c
-		for j := c + 1; j < c+4 && j < n; j++ {
-			if timerLess(h[j], h[min]) {
-				min = j
-			}
-		}
-		if !timerLess(h[min], tm) {
-			break
-		}
-		h[i] = h[min]
-		h[i].index = int32(i)
-		i = min
-	}
-	h[i] = tm
-	tm.index = int32(i)
-	return i > start
 }

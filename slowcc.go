@@ -61,26 +61,6 @@ type Time = sim.Time
 // NewEngine returns a deterministic engine seeded with seed.
 func NewEngine(seed int64) *Engine { return sim.New(seed) }
 
-// QueueKind selects the engine's event-queue implementation. Both kinds
-// produce the identical event order for a given seed and schedule; the
-// calendar queue is the fast default, the heap the fallback and
-// differential-testing oracle.
-type QueueKind = sim.QueueKind
-
-const (
-	// CalendarQueue is the default time-bucketed event queue.
-	CalendarQueue = sim.CalendarQueue
-	// HeapQueue is the 4-ary min-heap fallback (also selectable
-	// process-wide with SLOWCC_EVENTQ=heap).
-	HeapQueue = sim.HeapQueue
-)
-
-// NewEngineWithQueue is NewEngine with an explicit event-queue
-// implementation, for cross-checking the two queues against each other.
-func NewEngineWithQueue(seed int64, kind QueueKind) *Engine {
-	return sim.NewWithQueue(seed, kind)
-}
-
 // DumbbellConfig configures the single-bottleneck topology; the zero
 // value reproduces the paper's defaults (10 Mbps, 50 ms RTT, RED with
 // thresholds at 0.25/1.25 BDP, buffer 2.5 BDP).
@@ -425,7 +405,8 @@ func MatrixMetrics() []string { return exp.MatrixMetrics() }
 
 // StreamDigest is a zero-allocation rolling FNV-1a fingerprint of an
 // engine's executed event stream: attach with Engine.SetStreamDigest
-// (one nil check per event when absent) and compare Sum() across runs —
+// (a hook in the engine's single observer slot, which costs one
+// comparison per event when empty) and compare Sum() across runs —
 // equal digests mean the identical event sequence executed in the
 // identical order.
 type StreamDigest = sim.StreamDigest
