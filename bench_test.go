@@ -283,7 +283,7 @@ func BenchmarkECNFairness(b *testing.B) {
 // outside the timed window: the claim under test is the steady-state
 // cost of the disabled layer, not its setup. cmd/slowccbench pairs each
 // row against plain from the same invocation and fails on more than 2%
-// slowdown, any allocations over the PR 2 record, or any event-count
+// slowdown, any allocations over the pr2 record (438), or any event-count
 // drift — "a wired-but-off layer costs nothing" as a regression check.
 func BenchmarkEnginePacketsPerSecond(b *testing.B) {
 	for _, l := range macroLayers {

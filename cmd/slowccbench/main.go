@@ -14,7 +14,7 @@
 // /faults-off, ...). Every other row may be at most 2% slower than
 // plain measured in the same invocation (a paired comparison, so machine
 // drift between commits cannot fake a pass or a fail), may not allocate
-// a single op more than the PR 2 allocation-free record, must execute
+// a single op more than the pr2 allocation-free record, must execute
 // the identical event count, and must appear in every one of the -count
 // runs. The gate loops over whatever rows the run reports, so a new
 // layer is gated by adding its row to the table.
@@ -131,7 +131,7 @@ type gates struct {
 	// MaxLayerSlowdown caps a layer row's time against the plain row
 	// measured in the same run (1.02 = 2%).
 	MaxLayerSlowdown float64 `json:"max_layer_slowdown"`
-	// MaxLayerExtraAllocs caps allocs/op added over the PR 2 record (0).
+	// MaxLayerExtraAllocs caps allocs/op added over the pr2 record (0).
 	MaxLayerExtraAllocs float64 `json:"max_layer_extra_allocs"`
 }
 
@@ -145,7 +145,7 @@ type outcome struct {
 
 // layerOutcome is a paired-overhead gate: a layer row of the
 // macro-benchmark against the plain row from the same invocation (time,
-// immune to machine drift between commits) and against the PR 2
+// immune to machine drift between commits) and against the pr2
 // allocation record (allocs, deterministic).
 type layerOutcome struct {
 	Benchmark   string  `json:"benchmark"`
@@ -314,10 +314,10 @@ func trajectory(base, cur map[string]float64, g gates) outcome {
 }
 
 // layerGates pairs every layer row of the macro-benchmark in cur with
-// the plain row from the same invocation and with the PR 2 allocation
+// the plain row from the same invocation and with the pr2 allocation
 // record. Every row must execute the same event count — no layer is
 // allowed to change simulated behavior — and that count must still
-// equal the PR 2 record's. A row (plain included) that is absent from
+// equal the pr2 record's. A row (plain included) that is absent from
 // any of the count runs fails rather than being judged on the runs it
 // survived, and a run with no layer rows at all fails outright.
 func layerGates(cur map[string]map[string]float64, nsRuns map[string][]float64, count int, pr2core map[string]float64, g gates) []layerOutcome {
